@@ -43,8 +43,8 @@ pub struct EngineBenchRow {
 }
 
 /// Schema identifier of the STA engine-comparison document
-/// (`BENCH_sta.json`): naive per-sample `analyze` vs the compiled
-/// evaluators on the same Monte Carlo workload. v2 adds the shift-cache
+/// (`BENCH_sta.json`): naive per-sample `analyze` vs the batched engine
+/// on the same Monte Carlo workload. v2 adds the shift-cache
 /// hit/miss counters of each run; v3 adds the `accuracy` section — the
 /// sampling-scheme convergence errors ([`StaAccuracyRow`]) behind the
 /// tail-targeted importance-sampling floors of the perf regression gate.
@@ -56,7 +56,7 @@ pub const STA_BENCH_SCHEMA: &str = "postopc-bench-sta-v3";
 pub struct StaBenchRow {
     /// Workload name (e.g. `T6 composite 70%`).
     pub design: String,
-    /// Engine configuration (`naive analyze`, `compiled` or `batched`).
+    /// Engine configuration (`naive analyze` or `batched`).
     pub engine: String,
     /// Monte Carlo sample count.
     pub samples: usize,
@@ -66,11 +66,11 @@ pub struct StaBenchRow {
     pub speedup: f64,
     /// Whether `worst_slacks_ps` matched the naive engine bit for bit.
     pub identical: bool,
-    /// Shift-cache hits of the run (per-worker plus shared prewarmed
-    /// lookups; 0 for the naive engine, which has no shift cache).
+    /// Shift-table lookups of the run (all served by the prewarmed shared
+    /// table; 0 for the naive engine, which has no shift table).
     pub shift_hits: u64,
-    /// Shift-cache misses of the run (each ran the device model once;
-    /// the batched engine prewarms, so its hot loop records 0).
+    /// Shift-table misses of the run (the batched engine prewarms every
+    /// drawn bin, so it records 0).
     pub shift_misses: u64,
 }
 
@@ -436,7 +436,7 @@ mod tests {
     fn sta_row() -> StaBenchRow {
         StaBenchRow {
             design: "T6 composite 70%".to_string(),
-            engine: "compiled".to_string(),
+            engine: "batched".to_string(),
             samples: 2000,
             wall_s: 1.25,
             speedup: 8.0,

@@ -322,7 +322,6 @@ impl<'m> TimingSession<'m> {
         for entry in &artifact.char_entries {
             scratch.cache_mut().absorb(entry);
         }
-        scratch.absorb_shift_entries(&artifact.shift_entries);
         let drawn = compiled.evaluate(&mut scratch, None)?;
         let tags = match config.selection {
             Selection::All => TagSet::all(design),
@@ -336,8 +335,8 @@ impl<'m> TimingSession<'m> {
         };
         // Resume the trained surrogate iff the config still enables the
         // tier (the content hash already guarantees surrogate/non-
-        // surrogate artifacts are never mixed); a version-2 artifact built
-        // without one falls back to a fresh session model.
+        // surrogate artifacts are never mixed); an artifact built without
+        // one falls back to a fresh session model.
         let surrogate = if config.extraction.surrogate.enabled {
             artifact.surrogate.or_else(|| session_model(config))
         } else {
@@ -365,7 +364,6 @@ impl<'m> TimingSession<'m> {
             content_hash: content_hash(self.compiled.model().design(), &self.config),
             annotation: self.annotation.clone(),
             char_entries: self.scratch.cache().export(),
-            shift_entries: self.scratch.export_shift_entries(),
             context_store: self.store.clone(),
             surrogate: self.surrogate.clone(),
         }
@@ -497,7 +495,7 @@ impl<'m> TimingSession<'m> {
         }
         // Deterministic graceful degradation: re-scope the query to the
         // granted units. The reduced run is a first-class answer (same
-        // seed, same engine), just smaller.
+        // seed, same sampler), just smaller.
         let reduced = match query {
             SessionQuery::MonteCarlo(mc) => {
                 let mut mc = mc.clone();

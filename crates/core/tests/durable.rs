@@ -91,7 +91,6 @@ fn tiny_artifact() -> WarmArtifact {
             records: vec![record],
             timing: sample_timing(),
         }],
-        shift_entries: vec![(42, sample_timing())],
         context_store: ContextStore::new(),
         surrogate: None,
     }
@@ -242,6 +241,66 @@ fn crash_before_rename_keeps_the_old_artifact_bit_identical() {
     )
     .expect("warm serve from the survivor");
     assert!(warm.warm);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_previous_format_version_serves_cold_and_is_republished() {
+    // An artifact written by an older build (format version 2, which
+    // still carried a shift-cache section) must take the typed version
+    // rung of the recovery ladder — served cold, never decoded — and be
+    // replaced by a current-version artifact the next serve reads warm.
+    let design = small_design();
+    let cfg = fast_config();
+    let queries = vec![SessionQuery::Corners(Corner::classic_set(6.0))];
+    let dir = scratch_dir("version");
+    let path = dir.join("serve.bin");
+    serve_with(
+        &design,
+        &cfg,
+        Some(&path),
+        &queries,
+        &ServeOptions::default(),
+    )
+    .expect("publish a good artifact");
+    let mut old = std::fs::read(&path).expect("published bytes");
+    assert_eq!(old[8..12], postopc::ARTIFACT_VERSION.to_le_bytes());
+    old[8..12].copy_from_slice(&2u32.to_le_bytes());
+    std::fs::write(&path, &old).expect("plant a version-2 artifact");
+    match WarmArtifact::from_bytes(&old) {
+        Err(FlowError::Artifact(e)) => assert!(
+            matches!(
+                e.kind,
+                ArtifactErrorKind::Version {
+                    found: 2,
+                    expected: postopc::ARTIFACT_VERSION
+                }
+            ),
+            "{e}"
+        ),
+        other => panic!("a version-2 artifact must be a typed version error: {other:?}"),
+    }
+    let cold = serve_with(
+        &design,
+        &cfg,
+        Some(&path),
+        &queries,
+        &ServeOptions::default(),
+    )
+    .expect("serve over a version-2 artifact");
+    assert!(!cold.warm);
+    assert_eq!(cold.cold_reason, Some(ColdReason::Version));
+    assert_eq!(cold.persist, PersistStatus::Persisted);
+    let warm = serve_with(
+        &design,
+        &cfg,
+        Some(&path),
+        &queries,
+        &ServeOptions::default(),
+    )
+    .expect("warm serve from the republished artifact");
+    assert!(warm.warm);
+    assert_eq!(warm.outcomes, cold.outcomes);
     std::fs::remove_dir_all(&dir).ok();
 }
 

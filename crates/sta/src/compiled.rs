@@ -96,11 +96,12 @@ pub struct GateSensitivity {
 
 /// The per-gate base ensembles of a Monte Carlo run, deduplicated into
 /// distinct cells — built once per run by [`CompiledSta::sample_cells`]
-/// and consumed by [`CompiledSta::evaluate_shifted`].
+/// and consumed by [`CompiledSta::prewarm_shift_cache`] and
+/// [`CompiledSta::evaluate_shifted_batch`].
 ///
 /// Gates whose `(GateKind, base transistor records)` match bit for bit
 /// share one slot, so a uniform length shift applied to either produces
-/// the identical `CellTiming` — the invariant the shift cache keys on.
+/// the identical `CellTiming` — the invariant the shift table keys on.
 #[derive(Debug)]
 pub struct SampleCells {
     /// Gate index → slot in `cells`.
@@ -116,7 +117,7 @@ impl SampleCells {
     }
 
     /// Cell slot of each gate, indexed by gate (the key space of the
-    /// shift caches — samplers scan this to enumerate `(cell, bin)` pairs
+    /// shift table — samplers scan this to enumerate `(cell, bin)` pairs
     /// worth prewarming).
     pub fn cell_of_gate(&self) -> &[u32] {
         &self.cell_of_gate
@@ -184,15 +185,12 @@ pub struct StaScratch {
     worst_by_net: Vec<f64>,
     /// Nets touched in `worst_by_net`, for sparse reset.
     touched: Vec<NetId>,
-    /// Per-gate record staging buffer for sample fills.
+    /// Per-gate record staging buffer for shifted characterizations.
     records: Vec<TransistorCd>,
     cache: CharacterizationCache,
-    shift_cache: ShiftTimingCache,
-    /// Per-(gate, lane) tagged timing indices of the current batch
-    /// (`gate * LANES + lane`; see `LANE_LOCAL_BIT` / `LANE_OVERFLOW_BIT`).
+    /// Per-(gate, lane) [`SharedShiftCache`] store indices of the current
+    /// batch (`gate * LANES + lane`).
     lane_timing_idx: Vec<u32>,
-    /// Batch-local timings characterized past the local-cache cap.
-    lane_overflow: Vec<CellTiming>,
     /// Per-net lane-parallel propagation state (SoA: one `[f64; LANES]`
     /// row per net/gate, so lane loops autovectorize).
     lane_sink_cap: Vec<[f64; LANES]>,
@@ -222,236 +220,9 @@ impl StaScratch {
         &self.cache
     }
 
-    /// Entries in the `(cell, shift-bin)` cache of the Monte Carlo fast
-    /// path ([`CompiledSta::evaluate_shifted`]).
-    pub fn shift_cache_len(&self) -> usize {
-        self.shift_cache.store.len()
-    }
-
-    /// Hits of the `(cell, shift-bin)` cache.
-    pub fn shift_cache_hits(&self) -> u64 {
-        self.shift_cache.hits
-    }
-
-    /// Misses of the `(cell, shift-bin)` cache (device-model evaluations).
-    pub fn shift_cache_misses(&self) -> u64 {
-        self.shift_cache.misses
-    }
-
-    /// Lookups served by a caller-supplied [`SharedShiftCache`] (prewarmed
-    /// entries never probe the local cache, so they are counted apart).
-    pub fn shift_cache_shared_hits(&self) -> u64 {
-        self.shift_cache.shared_hits
-    }
-
-    /// Insertions the `(cell, shift-bin)` cache refused because it was at
-    /// its entry cap ([`SHIFT_CACHE_CAP_DEFAULT`] or the
-    /// [`SHIFT_CACHE_CAP_ENV`] override) — those shifts were characterized
-    /// without being memoized.
-    pub fn shift_cache_rejected(&self) -> u64 {
-        self.shift_cache.rejected
-    }
-
-    /// The entry cap of the `(cell, shift-bin)` cache, resolved when this
-    /// scratch was created.
-    pub fn shift_cache_cap(&self) -> usize {
-        self.shift_cache.cap
-    }
-
-    /// Snapshot of the `(cell, shift-bin)` cache, sorted by packed key —
-    /// the serialization view the warm-artifact store persists. Keys are
-    /// `(cell << 32) | bin` against the [`SampleCells`] dedup of the run
-    /// that filled the cache, so entries only transfer between runs whose
-    /// base ensembles (and hence cell slots) match — exactly the
-    /// invariant a content-addressed artifact guarantees.
-    pub fn export_shift_entries(&self) -> Vec<(u64, CellTiming)> {
-        let mut out = Vec::with_capacity(self.shift_cache.store.len());
-        for (&key, &idx) in self.shift_cache.keys.iter().zip(&self.shift_cache.slot_idx) {
-            if key != SHIFT_EMPTY {
-                out.push((key, self.shift_cache.store[idx as usize]));
-            }
-        }
-        out.sort_unstable_by_key(|&(key, _)| key);
-        out
-    }
-
-    /// Re-memoizes previously exported `(cell, shift-bin)` entries.
-    /// Entries already present are left alone; entries past the cap are
-    /// dropped (and counted as rejected). Because a hit replays exact
-    /// bits, absorbing entries can only skip device-model calls — it can
-    /// never change a result.
-    pub fn absorb_shift_entries(&mut self, entries: &[(u64, CellTiming)]) {
-        for &(key, timing) in entries {
-            if key == SHIFT_EMPTY {
-                continue;
-            }
-            self.shift_cache.insert(key, timing);
-        }
-    }
-
     /// Mutable access to the characterization cache (artifact absorb path).
     pub fn cache_mut(&mut self) -> &mut CharacterizationCache {
         &mut self.cache
-    }
-}
-
-/// Tag bit marking a lane timing index as pointing into the scratch's
-/// local shift-cache store rather than the shared prewarmed cache.
-const LANE_LOCAL_BIT: u32 = 1 << 31;
-/// Tag bit (alongside `LANE_LOCAL_BIT`) for the batch-local overflow
-/// staging area used once the local cache hits its entry cap.
-const LANE_OVERFLOW_BIT: u32 = 1 << 30;
-/// Mask extracting the store index from a tagged lane timing index.
-const LANE_IDX_MASK: u32 = LANE_OVERFLOW_BIT - 1;
-
-/// Resolves a tagged per-lane timing index against the three possible
-/// stores (shared prewarmed cache, local shift cache, batch overflow).
-#[inline]
-fn lane_timing<'a>(
-    shared: &'a [CellTiming],
-    local: &'a [CellTiming],
-    overflow: &'a [CellTiming],
-    tagged: u32,
-) -> &'a CellTiming {
-    if tagged & LANE_LOCAL_BIT == 0 {
-        &shared[tagged as usize]
-    } else if tagged & LANE_OVERFLOW_BIT != 0 {
-        &overflow[(tagged & LANE_IDX_MASK) as usize]
-    } else {
-        &local[(tagged & LANE_IDX_MASK) as usize]
-    }
-}
-
-/// Slot marker for an empty `ShiftTimingCache` bucket. Real keys are
-/// `(cell << 32) | bin` with `cell` a dense index far below `u32::MAX`,
-/// so they can never collide with the marker.
-const SHIFT_EMPTY: u64 = u64::MAX;
-
-/// Default entry cap of the shift cache: bounded by
-/// `distinct cells × occupied shift bins`, which stays far below this for
-/// real designs; the cap only guards against pathological workloads.
-/// Overridable per process via [`SHIFT_CACHE_CAP_ENV`].
-pub const SHIFT_CACHE_CAP_DEFAULT: usize = 1 << 18;
-
-/// Environment variable overriding the shift-cache entry cap (positive
-/// integer; unset, empty or unparsable values fall back to
-/// [`SHIFT_CACHE_CAP_DEFAULT`]). Read when a scratch is created, following
-/// the `POSTOPC_THREADS` precedent.
-pub const SHIFT_CACHE_CAP_ENV: &str = "POSTOPC_SHIFT_CACHE_CAP";
-
-/// Open-addressed `(cell, shift-bin) → CellTiming` map — the Monte Carlo
-/// characterization cache. The key is two small integers packed into a
-/// `u64`, so a lookup is one multiply-shift hash and a short linear probe:
-/// orders of magnitude cheaper than hashing a transistor ensemble, which
-/// is what makes the per-sample hot loop allocation- and hash-free.
-///
-/// Values live in an append-only `store` and the slot array holds `u32`
-/// indices into it: a rehash moves 12 bytes per entry instead of a whole
-/// [`CellTiming`], and the batched evaluator can stage per-lane *indices*
-/// (4 bytes each) instead of copying ~400-byte timings per gate visit.
-#[derive(Debug)]
-struct ShiftTimingCache {
-    /// Power-of-two slot array; `SHIFT_EMPTY` marks free slots.
-    keys: Vec<u64>,
-    /// `store` index of the same slot (garbage where the key is empty).
-    slot_idx: Vec<u32>,
-    /// Cached timings in insertion order.
-    store: Vec<CellTiming>,
-    /// Entry cap resolved at construction (env override or default).
-    cap: usize,
-    hits: u64,
-    misses: u64,
-    /// Hits served by a caller-supplied [`SharedShiftCache`] instead of
-    /// this local map (counted here so the scratch owns all counters).
-    shared_hits: u64,
-    /// Insertions refused because the store was at its cap.
-    rejected: u64,
-}
-
-impl ShiftTimingCache {
-    fn new() -> ShiftTimingCache {
-        let slots = 1024;
-        ShiftTimingCache {
-            keys: vec![SHIFT_EMPTY; slots],
-            slot_idx: vec![0; slots],
-            store: Vec::new(),
-            cap: crate::liberty::env_cache_cap(SHIFT_CACHE_CAP_ENV, SHIFT_CACHE_CAP_DEFAULT),
-            hits: 0,
-            misses: 0,
-            shared_hits: 0,
-            rejected: 0,
-        }
-    }
-
-    /// SplitMix64 finalizer: full-avalanche integer hash.
-    fn hash(mut x: u64) -> u64 {
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^ (x >> 31)
-    }
-
-    /// Index into `store` of the cached timing for `key`, if present.
-    fn get(&mut self, key: u64) -> Option<u32> {
-        debug_assert_ne!(key, SHIFT_EMPTY);
-        let mask = self.keys.len() - 1;
-        let mut i = Self::hash(key) as usize & mask;
-        loop {
-            let k = self.keys[i];
-            if k == key {
-                self.hits += 1;
-                return Some(self.slot_idx[i]);
-            }
-            if k == SHIFT_EMPTY {
-                self.misses += 1;
-                return None;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Inserts `val` under `key`, returning its `store` index; `None` past
-    /// the cap (the value is then characterized without memoizing).
-    fn insert(&mut self, key: u64, val: CellTiming) -> Option<u32> {
-        if self.store.len() >= self.cap {
-            self.rejected += 1;
-            return None;
-        }
-        if (self.store.len() + 1) * 4 > self.keys.len() * 3 {
-            self.grow();
-        }
-        let mask = self.keys.len() - 1;
-        let mut i = Self::hash(key) as usize & mask;
-        while self.keys[i] != SHIFT_EMPTY {
-            if self.keys[i] == key {
-                return Some(self.slot_idx[i]); // double-insert is a no-op
-            }
-            i = (i + 1) & mask;
-        }
-        let idx = self.store.len() as u32;
-        self.store.push(val);
-        self.keys[i] = key;
-        self.slot_idx[i] = idx;
-        Some(idx)
-    }
-
-    fn grow(&mut self) {
-        let new_slots = self.keys.len() * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![SHIFT_EMPTY; new_slots]);
-        let old_idx = std::mem::replace(&mut self.slot_idx, vec![0; new_slots]);
-        let mask = new_slots - 1;
-        for (key, idx) in old_keys.into_iter().zip(old_idx) {
-            if key == SHIFT_EMPTY {
-                continue;
-            }
-            let mut i = Self::hash(key) as usize & mask;
-            while self.keys[i] != SHIFT_EMPTY {
-                i = (i + 1) & mask;
-            }
-            self.keys[i] = key;
-            self.slot_idx[i] = idx;
-        }
     }
 }
 
@@ -460,10 +231,11 @@ impl ShiftTimingCache {
 /// Monte Carlo workers.
 ///
 /// Storage is a dense 2-D direct-index map (`cells × bin span`), so a probe
-/// is one bounds check and two loads — no hashing at all. Entries are
-/// characterized by the same staging + device-model path a cold
-/// [`ShiftTimingCache`] miss runs, so a shared hit replays exactly the bits
-/// a cold evaluation would compute (warm/cold bit-identity, proven by the
+/// is one bounds check and two loads — no hashing at all. Every entry is
+/// characterized by the one shifted-characterization path
+/// (`CompiledSta::characterize_shift`), and the batched evaluator reads
+/// nothing else, so each lane replays exactly the bits the naive
+/// `run_reference` oracle computes for the same shift (proven by the
 /// `batched_parity` tests).
 #[derive(Debug)]
 pub struct SharedShiftCache {
@@ -489,14 +261,15 @@ impl SharedShiftCache {
         self.store.len()
     }
 
-    /// `store` index of `(cell, bin)`, if prewarmed.
+    /// `store` index of `(cell, bin)`, if prewarmed (`None` also for a
+    /// cell past the table, e.g. one built for another run's cells).
     #[inline]
     fn get(&self, cell: u32, bin: i32) -> Option<u32> {
         let off = i64::from(bin) - i64::from(self.min_bin);
         if off < 0 || off >= self.span as i64 {
             return None;
         }
-        let i = self.idx[cell as usize * self.span + off as usize];
+        let i = *self.idx.get(cell as usize * self.span + off as usize)?;
         (i != u32::MAX).then_some(i)
     }
 }
@@ -583,9 +356,7 @@ impl<'m> CompiledSta<'m> {
             touched: Vec::new(),
             records: Vec::new(),
             cache: CharacterizationCache::new(),
-            shift_cache: ShiftTimingCache::new(),
             lane_timing_idx: vec![0; n_gates * LANES],
-            lane_overflow: Vec::new(),
             lane_sink_cap: vec![[0.0; LANES]; n_nets],
             lane_input_cap: vec![[0.0; LANES]; n_gates],
             lane_slews: vec![[0.0; LANES]; n_nets],
@@ -601,7 +372,7 @@ impl<'m> CompiledSta<'m> {
 
     /// Deduplicates per-gate base ensembles (`bases[gi]` = systematic
     /// records of gate `gi`) into distinct `(kind, records)` cells for
-    /// [`Self::evaluate_shifted`]. Two gates share a cell only when their
+    /// [`Self::evaluate_shifted_batch`]. Two gates share a cell only when their
     /// kind and every record match bit for bit.
     ///
     /// # Panics
@@ -887,144 +658,34 @@ impl<'m> CompiledSta<'m> {
         ))
     }
 
-    /// The Monte Carlo hot path: evaluates one sample whose per-gate CD
-    /// records are produced by `fill` (called once per gate, in gate
-    /// order, with an empty staging buffer to extend). Every gate is
-    /// treated as annotated and nets stay drawn — exactly the shape of a
-    /// sampled [`CdAnnotation`] covering all gates — and only a summary is
-    /// returned, so the evaluation allocates nothing after warm-up.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors for non-physical filled dimensions.
-    pub fn evaluate_sample<F>(&self, scratch: &mut StaScratch, mut fill: F) -> Result<SampleTiming>
-    where
-        F: FnMut(usize, &mut Vec<TransistorCd>),
-    {
-        let netlist = self.model.design().netlist();
-        scratch.timings.clear();
-        let mut leakage = 0.0;
-        for (gi, gate) in netlist.gates().iter().enumerate() {
-            scratch.records.clear();
-            fill(gi, &mut scratch.records);
-            let timing = self.model.library().annotated_timing_cached(
-                &mut scratch.cache,
-                gate.kind,
-                &scratch.records,
-            )?;
-            leakage += timing.leakage_ua;
-            scratch.timings.push(timing);
-        }
-        self.propagate(scratch, None)?;
-        // Worst slack is the minimum over endpoint entries — the same
-        // value `analyze` reads off the head of its sorted slack list.
-        let worst_slack_ps = scratch
-            .endpoint_required
-            .iter()
-            .map(|&(net, required)| required - scratch.arrivals[net.0 as usize])
-            .fold(f64::INFINITY, f64::min);
-        Ok(SampleTiming {
-            worst_slack_ps,
-            critical_delay_ps: self.model.clock_ps() - worst_slack_ps,
-            leakage_ua: leakage,
-        })
-    }
-
-    /// The Monte Carlo fastest path: evaluates one sample whose per-gate
-    /// CDs are the gate's base ensemble (see [`Self::sample_cells`])
-    /// uniformly shifted by `shift_of(gi)` — called once per gate in gate
-    /// order, returning the `(grid bin, shift nm)` pair produced by the
-    /// sampler's quantizer. The shift must be a pure function of the bin
-    /// (the bin is the cache identity of the shift).
-    ///
-    /// Characterization is memoized per `(cell, bin)` in the scratch's
-    /// integer-keyed shift cache: because a cell's gates share base
-    /// records bit for bit and the shift value is a pure function of the
-    /// bin, a hit replays exactly the bits a miss would compute. Records
-    /// are only materialized on a miss, so a warm sample runs the device
-    /// model zero times and allocates nothing. A prewarmed
-    /// [`SharedShiftCache`] (see [`Self::prewarm_shift_cache`]) is probed
-    /// first when supplied; its entries were characterized by the same
-    /// path, so results are bit-identical with or without it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors for non-physical shifted dimensions.
-    pub fn evaluate_shifted<F>(
-        &self,
-        scratch: &mut StaScratch,
-        cells: &SampleCells,
-        shared: Option<&SharedShiftCache>,
-        mut shift_of: F,
-    ) -> Result<SampleTiming>
-    where
-        F: FnMut(usize) -> (i32, f64),
-    {
-        scratch.timings.clear();
-        let mut leakage = 0.0;
-        for (gi, &cell) in cells.cell_of_gate.iter().enumerate() {
-            let (bin, shift) = shift_of(gi);
-            let shared_hit = shared.and_then(|s| s.get(cell, bin).map(|i| (s, i)));
-            let timing = if let Some((s, i)) = shared_hit {
-                scratch.shift_cache.shared_hits += 1;
-                s.store[i as usize]
-            } else {
-                let key = (u64::from(cell) << 32) | u64::from(bin as u32);
-                match scratch.shift_cache.get(key) {
-                    Some(i) => scratch.shift_cache.store[i as usize],
-                    None => {
-                        let t = self.characterize_shift(cells, cell, shift, scratch)?;
-                        scratch.shift_cache.insert(key, t);
-                        t
-                    }
-                }
-            };
-            leakage += timing.leakage_ua;
-            scratch.timings.push(timing);
-        }
-        self.propagate(scratch, None)?;
-        let worst_slack_ps = scratch
-            .endpoint_required
-            .iter()
-            .map(|&(net, required)| required - scratch.arrivals[net.0 as usize])
-            .fold(f64::INFINITY, f64::min);
-        Ok(SampleTiming {
-            worst_slack_ps,
-            critical_delay_ps: self.model.clock_ps() - worst_slack_ps,
-            leakage_ua: leakage,
-        })
-    }
-
-    /// Characterizes one `(cell, shift)` ensemble through the scratch's
-    /// record staging buffer — the single code path behind local shift-
-    /// cache misses, shared-cache prewarming and the batched evaluator, so
-    /// every consumer computes identical bits for identical inputs.
+    /// Characterizes one `(cell, shift)` ensemble through a record staging
+    /// buffer — the single shifted-characterization path of the compiled
+    /// evaluator, behind both the prewarmed shift table and the
+    /// sensitivity pass, so every consumer computes identical bits for
+    /// identical inputs.
     fn characterize_shift(
         &self,
         cells: &SampleCells,
         cell: u32,
         shift: f64,
-        scratch: &mut StaScratch,
+        records: &mut Vec<TransistorCd>,
     ) -> Result<CellTiming> {
         let (kind, base) = &cells.cells[cell as usize];
-        scratch.records.clear();
-        scratch.records.extend_from_slice(base);
-        for r in scratch.records.iter_mut() {
+        records.clear();
+        records.extend_from_slice(base);
+        for r in records.iter_mut() {
             r.l_delay_nm = (r.l_delay_nm + shift).max(1.0);
             r.l_leakage_nm = (r.l_leakage_nm + shift).max(1.0);
         }
-        self.model
-            .library()
-            .annotated_timing(*kind, &scratch.records)
+        self.model.library().annotated_timing(*kind, records)
     }
 
     /// Characterizes every `(cell, bin)` pair of `keys` once, in parallel,
-    /// into a read-only [`SharedShiftCache`] that Monte Carlo workers
-    /// share by reference — the per-worker caches then start warm instead
-    /// of each re-running the device model for the same bins.
+    /// into the read-only [`SharedShiftCache`] that Monte Carlo workers
+    /// share by reference.
     ///
     /// `shift_of_bin` maps a grid bin to its shift in nm and must be the
-    /// same pure function the evaluation-time sampler uses (for the
+    /// same pure function the sampler quantizes with (for the
     /// `sigma / 16` grid: `bin as f64 * step`). Duplicate keys are
     /// deduplicated; the build is deterministic for any thread count.
     ///
@@ -1056,16 +717,14 @@ impl<'m> CompiledSta<'m> {
         }
         let min_bin = sorted.iter().map(|&(_, b)| b).min().unwrap_or(0);
         let max_bin = sorted.iter().map(|&(_, b)| b).max().unwrap_or(0);
-        let store = postopc_parallel::try_par_map(threads, &sorted, |_, &(cell, bin)| {
-            let (kind, base) = &cells.cells[cell as usize];
-            let shift = shift_of_bin(bin);
-            let mut records = base.clone();
-            for r in records.iter_mut() {
-                r.l_delay_nm = (r.l_delay_nm + shift).max(1.0);
-                r.l_leakage_nm = (r.l_leakage_nm + shift).max(1.0);
-            }
-            self.model.library().annotated_timing(*kind, &records)
-        })?;
+        let store = postopc_parallel::try_par_map_init(
+            threads,
+            &sorted,
+            Vec::new,
+            |records, _, &(cell, bin)| {
+                self.characterize_shift(cells, cell, shift_of_bin(bin), records)
+            },
+        )?;
         let span = (max_bin - min_bin) as usize + 1;
         let mut idx = vec![u32::MAX; cells.cells.len() * span];
         for (i, &(cell, bin)) in sorted.iter().enumerate() {
@@ -1083,19 +742,24 @@ impl<'m> CompiledSta<'m> {
         })
     }
 
-    /// The batched Monte Carlo hot path: evaluates [`LANES`] samples per
-    /// gate visit. `shift_of(lane, gi)` supplies the `(grid bin, shift)`
-    /// of gate `gi` in lane `lane` — called in gate-major order (all lanes
-    /// of gate 0, then gate 1, …) so lane fills stay cache-local.
+    /// The Monte Carlo hot path: evaluates [`LANES`] samples per gate
+    /// visit. Each sample's per-gate CDs are the gate's base ensemble (see
+    /// [`Self::sample_cells`]) uniformly shifted by one grid bin;
+    /// `bin_of(lane, gi)` supplies the bin of gate `gi` in lane `lane` —
+    /// called in gate-major order (all lanes of gate 0, then gate 1, …) so
+    /// lane fills stay cache-local.
     ///
-    /// Per lane, every float operation mirrors [`Self::evaluate_shifted`]
-    /// exactly (same fold orders, same table lookups, same endpoint
-    /// accumulation), so each returned [`SampleTiming`] is bit-identical
-    /// to a scalar evaluation of the same shift stream — the contract the
-    /// `batched_parity` suite enforces. The propagation state is laid out
-    /// as `[f64; LANES]` rows (structure-of-arrays), so the per-lane loops
-    /// autovectorize in release builds, and timings are staged as 4-byte
-    /// indices into the shift caches instead of being copied per gate.
+    /// Every `(cell, bin)` timing is read from `shared`, prewarmed by
+    /// [`Self::prewarm_shift_cache`] for every bin the run draws, so a
+    /// batch runs the device model zero times and allocates nothing.
+    /// Per lane, every float operation mirrors [`TimingModel::analyze`] on
+    /// the equivalent shifted annotation (same fold orders, same table
+    /// lookups, same endpoint accumulation), so each returned
+    /// [`SampleTiming`] is bit-identical to the naive reference — the
+    /// contract the `batched_parity` suite enforces. The propagation state
+    /// is laid out as `[f64; LANES]` rows (structure-of-arrays), so the
+    /// per-lane loops autovectorize in release builds, and timings are
+    /// staged as 4-byte store indices instead of being copied per gate.
     /// The backward required-time relaxation is skipped entirely: a sample
     /// summary only reads endpoint required times and arrivals, which are
     /// fixed before that pass runs.
@@ -1106,79 +770,44 @@ impl<'m> CompiledSta<'m> {
     ///
     /// # Errors
     ///
-    /// Propagates device errors for non-physical shifted dimensions.
+    /// Returns [`StaError::InvalidMonteCarlo`] when a drawn `(cell, bin)`
+    /// is missing from `shared`.
     pub fn evaluate_shifted_batch<F>(
         &self,
         scratch: &mut StaScratch,
         cells: &SampleCells,
-        shared: Option<&SharedShiftCache>,
-        mut shift_of: F,
+        shared: &SharedShiftCache,
+        mut bin_of: F,
     ) -> Result<[SampleTiming; LANES]>
     where
-        F: FnMut(usize, usize) -> (i32, f64),
+        F: FnMut(usize, usize) -> i32,
     {
         let clock_ps = self.model.clock_ps();
         let mut leakage = [0.0f64; LANES];
-        // Phase 1 — resolve every (gate, lane) timing to a tagged store
-        // index, characterizing misses through the shared scalar path.
-        // Leakage accumulates here in gate order, matching the scalar
-        // engine's accumulation order per lane.
-        scratch.lane_overflow.clear();
+        // Phase 1 — resolve every (gate, lane) timing to a store index,
+        // reading leakage and input cap from the table's dense 8-byte side
+        // rows instead of dragging the full `CellTiming` through the cache
+        // (the values are copies of the same store fields — same bits).
+        // Leakage accumulates in gate order, the reference's order.
         for (gi, &cell) in cells.cell_of_gate.iter().enumerate() {
-            // `lane` feeds `shift_of` and three lane-indexed arrays; an
+            // `lane` feeds `bin_of` and three lane-indexed arrays; an
             // iterator over any one of them would obscure that.
             #[allow(clippy::needless_range_loop)]
             for lane in 0..LANES {
-                let (bin, shift) = shift_of(lane, gi);
-                // Hot path first: a prewarmed run resolves every lookup
-                // here, reading leakage and input cap from the shared
-                // cache's dense 8-byte side rows instead of dragging the
-                // full `CellTiming` through the cache (the values are
-                // copies of the same store fields — same bits).
-                if let Some((s, i)) = shared.and_then(|s| s.get(cell, bin).map(|i| (s, i))) {
-                    scratch.shift_cache.shared_hits += 1;
-                    debug_assert_eq!(i & (LANE_LOCAL_BIT | LANE_OVERFLOW_BIT), 0);
-                    leakage[lane] += s.leak[i as usize];
-                    scratch.lane_input_cap[gi][lane] = s.cap[i as usize];
-                    scratch.lane_timing_idx[gi * LANES + lane] = i;
-                    continue;
-                }
-                let key = (u64::from(cell) << 32) | u64::from(bin as u32);
-                let tagged = match scratch.shift_cache.get(key) {
-                    Some(i) => i | LANE_LOCAL_BIT,
-                    None => {
-                        let t = self.characterize_shift(cells, cell, shift, scratch)?;
-                        match scratch.shift_cache.insert(key, t) {
-                            Some(i) => i | LANE_LOCAL_BIT,
-                            None => {
-                                // Past the local cap: stage in the
-                                // batch-local overflow area.
-                                scratch.lane_overflow.push(t);
-                                (scratch.lane_overflow.len() - 1) as u32
-                                    | LANE_LOCAL_BIT
-                                    | LANE_OVERFLOW_BIT
-                            }
-                        }
-                    }
-                };
-                let t = lane_timing(
-                    &[],
-                    &scratch.shift_cache.store,
-                    &scratch.lane_overflow,
-                    tagged,
-                );
-                leakage[lane] += t.leakage_ua;
-                let cap = t.input_cap_ff;
-                scratch.lane_input_cap[gi][lane] = cap;
-                scratch.lane_timing_idx[gi * LANES + lane] = tagged;
+                let bin = bin_of(lane, gi);
+                let i = shared.get(cell, bin).ok_or_else(|| {
+                    StaError::InvalidMonteCarlo(format!(
+                        "shift bin {bin} of cell {cell} is missing from the prewarmed table"
+                    ))
+                })?;
+                leakage[lane] += shared.leak[i as usize];
+                scratch.lane_input_cap[gi][lane] = shared.cap[i as usize];
+                scratch.lane_timing_idx[gi * LANES + lane] = i;
             }
         }
 
-        // Phase 2 — lane-parallel propagation. Split-borrow the scratch so
-        // the timing stores stay readable while lane arrays mutate.
+        // Phase 2 — lane-parallel propagation.
         let StaScratch {
-            ref shift_cache,
-            ref lane_overflow,
             ref lane_timing_idx,
             ref lane_input_cap,
             ref mut lane_sink_cap,
@@ -1187,14 +816,12 @@ impl<'m> CompiledSta<'m> {
             ref mut lane_endpoint_required,
             ..
         } = *scratch;
-        let shared_store: &[CellTiming] = shared.map_or(&[], |s| &s.store);
-        let local_store = &shift_cache.store;
+        let store = &shared.store;
         let netlist = self.model.design().netlist();
 
-        // Sink loads (gate order, one add per input per lane — the scalar
-        // pass order, so partial sums agree bit for bit). The caps were
-        // staged per gate while the lane timings resolved above, so this
-        // pass never re-resolves a tagged index.
+        // Sink loads (gate order, one add per input per lane — the
+        // reference's order, so partial sums agree bit for bit). The caps
+        // were staged per gate above, so this pass reads straight rows.
         for row in lane_sink_cap.iter_mut() {
             *row = [0.0; LANES];
         }
@@ -1211,9 +838,9 @@ impl<'m> CompiledSta<'m> {
         // Delays, output slews and forward arrivals fused into a single
         // topological walk: a gate's input slews *and* input arrivals are
         // both final before the walk reaches it, so folding arrivals here
-        // performs exactly the float ops of the scalar engine's split
+        // performs exactly the float ops of the reference's split
         // delay/arrival passes — one traversal and one per-gate delay
-        // store/reload cheaper, and each lane timing resolves once.
+        // store/reload cheaper.
         for row in lane_slews.iter_mut() {
             *row = [PRIMARY_INPUT_SLEW_PS; LANES];
         }
@@ -1223,14 +850,8 @@ impl<'m> CompiledSta<'m> {
         for &gid in netlist.topological_order() {
             let gate = netlist.gate(gid);
             let gi = gid.0 as usize;
-            let ts: [&CellTiming; LANES] = std::array::from_fn(|l| {
-                lane_timing(
-                    shared_store,
-                    local_store,
-                    lane_overflow,
-                    lane_timing_idx[gi * LANES + l],
-                )
-            });
+            let ts: [&CellTiming; LANES] =
+                std::array::from_fn(|l| &store[lane_timing_idx[gi * LANES + l] as usize]);
             let (slew_in, worst_in) = if gate.kind.is_sequential() {
                 ([CLOCK_SLEW_PS; LANES], [0.0; LANES])
             } else {
@@ -1269,7 +890,7 @@ impl<'m> CompiledSta<'m> {
             lane_arrivals[out] = arrivals;
         }
 
-        // Endpoint required times in the scalar push order (primary
+        // Endpoint required times in the reference's push order (primary
         // outputs, then sequential gates in index order). The backward
         // relaxation over internal nets is omitted: the sample summary
         // below never reads it.
@@ -1278,26 +899,15 @@ impl<'m> CompiledSta<'m> {
             lane_endpoint_required.push((po, [clock_ps; LANES]));
         }
         for (gi, gate) in netlist.gates().iter().enumerate() {
-            let t0 = lane_timing(
-                shared_store,
-                local_store,
-                lane_overflow,
-                lane_timing_idx[gi * LANES],
-            );
-            if t0.sequential.is_none() {
+            let lane_idx = &lane_timing_idx[gi * LANES..(gi + 1) * LANES];
+            if store[lane_idx[0] as usize].sequential.is_none() {
                 continue;
             }
             // Sequential-ness is a property of the cell kind, so every
             // lane of a gate agrees on it; setup times still vary per bin.
             let mut req = [clock_ps; LANES];
-            for (l, r) in req.iter_mut().enumerate() {
-                let t = lane_timing(
-                    shared_store,
-                    local_store,
-                    lane_overflow,
-                    lane_timing_idx[gi * LANES + l],
-                );
-                if let Some(seq) = &t.sequential {
+            for (r, &i) in req.iter_mut().zip(lane_idx) {
+                if let Some(seq) = &store[i as usize].sequential {
                     *r = clock_ps - seq.setup_ps;
                 }
             }
@@ -1443,8 +1053,9 @@ impl<'m> CompiledSta<'m> {
     ///   through neighbour input caps is second-order and ignored — the
     ///   derivative seeds a sampling tilt, not a timing result.
     ///
-    /// The device model runs twice per *distinct cell* (±`step_nm`), not
-    /// per gate, so the pass costs about two corner characterizations.
+    /// The device model runs three times per *distinct cell* (zero and
+    /// ±`step_nm`), not per gate, so the pass costs about three corner
+    /// characterizations.
     /// Everything is computed serially in gate order from deterministic
     /// inputs, so the result is identical for any thread count.
     ///
@@ -1457,16 +1068,31 @@ impl<'m> CompiledSta<'m> {
         cells: &SampleCells,
         step_nm: f64,
     ) -> Result<GateSensitivity> {
-        let baseline = self.evaluate_shifted(scratch, cells, None, |_| (0, 0.0))?;
-
-        // ±step characterizations, once per distinct cell.
+        // Zero-shift and ±step characterizations, once per distinct cell.
         let n_cells = cells.cells.len();
+        let mut zero = Vec::with_capacity(n_cells);
         let mut plus = Vec::with_capacity(n_cells);
         let mut minus = Vec::with_capacity(n_cells);
         for cell in 0..n_cells as u32 {
-            plus.push(self.characterize_shift(cells, cell, step_nm, scratch)?);
-            minus.push(self.characterize_shift(cells, cell, -step_nm, scratch)?);
+            zero.push(self.characterize_shift(cells, cell, 0.0, &mut scratch.records)?);
+            plus.push(self.characterize_shift(cells, cell, step_nm, &mut scratch.records)?);
+            minus.push(self.characterize_shift(cells, cell, -step_nm, &mut scratch.records)?);
         }
+
+        // The zero-shift baseline: a full propagation (forward arrivals
+        // plus the backward relaxation) over the per-gate zero timings.
+        scratch.timings.clear();
+        scratch
+            .timings
+            .extend(cells.cell_of_gate.iter().map(|&cell| zero[cell as usize]));
+        self.propagate(scratch, None)?;
+        // Worst slack is the minimum over endpoint entries — the same
+        // value `analyze` reads off the head of its sorted slack list.
+        let worst_slack_ps = scratch
+            .endpoint_required
+            .iter()
+            .map(|&(net, required)| required - scratch.arrivals[net.0 as usize])
+            .fold(f64::INFINITY, f64::min);
 
         let netlist = self.model.design().netlist();
         let n_gates = netlist.gate_count();
@@ -1500,7 +1126,7 @@ impl<'m> CompiledSta<'m> {
             ddelay.push((stage_delay(&plus[cell]) - stage_delay(&minus[cell])) / (2.0 * step_nm));
         }
         Ok(GateSensitivity {
-            worst_slack_ps: baseline.worst_slack_ps,
+            worst_slack_ps,
             slack_ps,
             ddelay_dl_ps_per_nm: ddelay,
         })
@@ -1564,80 +1190,121 @@ mod tests {
         assert_eq!(first, again);
     }
 
-    #[test]
-    fn sample_summary_matches_full_report() {
-        let d = design();
-        let model = TimingModel::new(&d, ProcessParams::n90(), 800.0).expect("model");
-        let compiled = model.compile().expect("compile");
-        let mut scratch = compiled.scratch();
-        let delta = 2.5;
-        let ann = crate::corners::corner_annotation(&model, delta);
-        let report = compiled.evaluate(&mut scratch, Some(&ann)).expect("report");
-        let sample = compiled
-            .evaluate_sample(&mut scratch, |gi, records| {
-                records.extend_from_slice(compiled.base_records(GateId(gi as u32)));
-                for r in records.iter_mut() {
-                    r.l_delay_nm = (r.l_delay_nm + delta).max(1.0);
-                    r.l_leakage_nm = (r.l_leakage_nm + delta).max(1.0);
-                }
-            })
-            .expect("sample");
-        assert_eq!(sample.worst_slack_ps, report.worst_slack_ps());
-        assert_eq!(sample.critical_delay_ps, report.critical_delay_ps());
-        assert_eq!(sample.leakage_ua, report.leakage_ua());
+    /// Drawn records of every gate — the base ensembles of a Monte Carlo
+    /// run with no systematic annotation.
+    fn drawn_bases(compiled: &CompiledSta<'_>, d: &Design) -> Vec<Vec<TransistorCd>> {
+        (0..d.netlist().gate_count())
+            .map(|gi| compiled.base_records(GateId(gi as u32)).to_vec())
+            .collect()
+    }
+
+    /// The annotation a shifted sample stands for: every gate's base
+    /// records uniformly shifted by `shift_of(gi)` nm.
+    fn shifted_annotation(
+        bases: &[Vec<TransistorCd>],
+        shift_of: impl Fn(usize) -> f64,
+    ) -> CdAnnotation {
+        let mut ann = CdAnnotation::new();
+        for (gi, base) in bases.iter().enumerate() {
+            let mut records = base.clone();
+            for r in &mut records {
+                r.l_delay_nm = (r.l_delay_nm + shift_of(gi)).max(1.0);
+                r.l_leakage_nm = (r.l_leakage_nm + shift_of(gi)).max(1.0);
+            }
+            ann.set_gate(
+                GateId(gi as u32),
+                crate::annotate::GateAnnotation {
+                    transistors: records,
+                },
+            );
+        }
+        ann
     }
 
     #[test]
-    fn shifted_evaluation_matches_record_fill_and_dedupes() {
+    fn batch_summary_matches_full_report() {
         let d = design();
         let model = TimingModel::new(&d, ProcessParams::n90(), 800.0).expect("model");
         let compiled = model.compile().expect("compile");
-        let bases: Vec<Vec<_>> = d
-            .netlist()
-            .gates()
-            .iter()
-            .enumerate()
-            .map(|(gi, _)| compiled.base_records(GateId(gi as u32)).to_vec())
-            .collect();
+        let bases = drawn_bases(&compiled, &d);
+        let cells = compiled.sample_cells(&bases);
+        let delta = 2.5;
+        let keys: Vec<(u32, i32)> = (0..cells.distinct() as u32).map(|c| (c, 1)).collect();
+        let shared = compiled
+            .prewarm_shift_cache(&cells, &keys, 1, |bin| f64::from(bin) * delta)
+            .expect("prewarm");
+        let mut scratch = compiled.scratch();
+        let lanes = compiled
+            .evaluate_shifted_batch(&mut scratch, &cells, &shared, |_, _| 1)
+            .expect("batch");
+        let ann = crate::corners::corner_annotation(&model, delta);
+        let report = compiled.evaluate(&mut scratch, Some(&ann)).expect("report");
+        for sample in lanes {
+            assert_eq!(sample.worst_slack_ps, report.worst_slack_ps());
+            assert_eq!(sample.critical_delay_ps, report.critical_delay_ps());
+            assert_eq!(sample.leakage_ua, report.leakage_ua());
+        }
+    }
+
+    #[test]
+    fn shifted_batch_matches_record_fill_and_dedupes() {
+        let d = design();
+        let model = TimingModel::new(&d, ProcessParams::n90(), 800.0).expect("model");
+        let compiled = model.compile().expect("compile");
+        let bases = drawn_bases(&compiled, &d);
         let cells = compiled.sample_cells(&bases);
         // Identical cells collapse: far fewer distinct ensembles than gates.
         assert!(cells.distinct() < d.netlist().gate_count());
-        // A gate-dependent but repeating shift pattern, as bins on a grid.
+        // A lane- and gate-dependent repeating shift pattern, as bins on a
+        // grid.
         let step = 0.25;
-        let shift_of = |gi: usize| {
-            let bin = (gi % 5) as i32 - 2;
-            (bin, f64::from(bin) * step)
-        };
-        let mut scratch = compiled.scratch();
-        let shifted = compiled
-            .evaluate_shifted(&mut scratch, &cells, None, shift_of)
-            .expect("shifted");
-        // The generic record-fill path on the same shifts must agree
-        // exactly (the shift cache replays the bits a fill computes).
-        let filled = compiled
-            .evaluate_sample(&mut scratch, |gi, records| {
-                let (_, shift) = shift_of(gi);
-                records.extend_from_slice(&bases[gi]);
-                for r in records.iter_mut() {
-                    r.l_delay_nm = (r.l_delay_nm + shift).max(1.0);
-                    r.l_leakage_nm = (r.l_leakage_nm + shift).max(1.0);
-                }
+        let bin_of = |lane: usize, gi: usize| ((gi + 2 * lane) % 5) as i32 - 2;
+        let keys: Vec<(u32, i32)> = (0..LANES)
+            .flat_map(|lane| {
+                let cell_of_gate = cells.cell_of_gate();
+                (0..cell_of_gate.len()).map(move |gi| (cell_of_gate[gi], bin_of(lane, gi)))
             })
-            .expect("filled");
-        assert_eq!(shifted, filled);
-        // Re-running warm hits for every gate and learns nothing new.
-        let entries = scratch.shift_cache_len();
-        let hits = scratch.shift_cache_hits();
-        let again = compiled
-            .evaluate_shifted(&mut scratch, &cells, None, shift_of)
-            .expect("again");
-        assert_eq!(again, shifted);
-        assert_eq!(scratch.shift_cache_len(), entries);
-        assert_eq!(
-            scratch.shift_cache_hits(),
-            hits + d.netlist().gate_count() as u64
-        );
-        assert!(scratch.shift_cache_misses() > 0);
+            .collect();
+        let shared = compiled
+            .prewarm_shift_cache(&cells, &keys, 2, |bin| f64::from(bin) * step)
+            .expect("prewarm");
+        // One entry per distinct (cell, bin), however many gates share it.
+        assert!(shared.entries() < keys.len());
+        let mut scratch = compiled.scratch();
+        let lanes = compiled
+            .evaluate_shifted_batch(&mut scratch, &cells, &shared, bin_of)
+            .expect("batch");
+        // The full evaluation of each lane's record fill must agree
+        // exactly (the table replays the bits a fill computes).
+        for (lane, sample) in lanes.iter().enumerate() {
+            let ann = shifted_annotation(&bases, |gi| f64::from(bin_of(lane, gi)) * step);
+            let report = compiled.evaluate(&mut scratch, Some(&ann)).expect("report");
+            assert_eq!(
+                sample.worst_slack_ps.to_bits(),
+                report.worst_slack_ps().to_bits()
+            );
+            assert_eq!(sample.leakage_ua.to_bits(), report.leakage_ua().to_bits());
+        }
+        // A bin the table was not prewarmed for is a typed error, and so
+        // is a table built for another design's (fewer) cells: the adder
+        // is all NAND2, one cell, while the multiplier has several.
+        let err = compiled
+            .evaluate_shifted_batch(&mut scratch, &cells, &shared, |_, _| 7)
+            .expect_err("unwarmed bin must be rejected");
+        assert!(matches!(err, StaError::InvalidMonteCarlo(_)));
+        let mult = Design::compile(
+            generate::array_multiplier(2).expect("netlist"),
+            TechRules::n90(),
+        )
+        .expect("multiplier design");
+        let mult_model = TimingModel::new(&mult, ProcessParams::n90(), 800.0).expect("model");
+        let mult_compiled = mult_model.compile().expect("compile");
+        let mult_cells = mult_compiled.sample_cells(&drawn_bases(&mult_compiled, &mult));
+        assert!(mult_cells.distinct() > cells.distinct());
+        let err = mult_compiled
+            .evaluate_shifted_batch(&mut mult_compiled.scratch(), &mult_cells, &shared, |_, _| 0)
+            .expect_err("foreign table must be rejected");
+        assert!(matches!(err, StaError::InvalidMonteCarlo(_)));
     }
 
     #[test]
@@ -1645,13 +1312,10 @@ mod tests {
         let d = design();
         let model = TimingModel::new(&d, ProcessParams::n90(), 800.0).expect("model");
         let compiled = model.compile().expect("compile");
+        let ann = shifted_annotation(&drawn_bases(&compiled, &d), |_| 0.0);
         let mut scratch = compiled.scratch();
         for _ in 0..3 {
-            compiled
-                .evaluate_sample(&mut scratch, |gi, records| {
-                    records.extend_from_slice(compiled.base_records(GateId(gi as u32)));
-                })
-                .expect("sample");
+            compiled.evaluate(&mut scratch, Some(&ann)).expect("sample");
         }
         // Drawn records per gate collapse to one entry per distinct cell.
         let cache = scratch.cache();
@@ -1746,8 +1410,17 @@ mod tests {
         let n = d.netlist().gate_count();
         assert_eq!(sens.slack_ps.len(), n);
         assert_eq!(sens.ddelay_dl_ps_per_nm.len(), n);
-        // The baseline of the pass is the drawn analysis.
+        // The baseline of the pass is the drawn analysis, net by net: every
+        // gate's output slack is bit-equal to the naive oracle's.
         assert_eq!(sens.worst_slack_ps, report.worst_slack_ps());
+        let oracle = model.analyze(None).expect("oracle");
+        for (gi, gate) in d.netlist().gates().iter().enumerate() {
+            assert_eq!(
+                sens.slack_ps[gi].to_bits(),
+                oracle.slack_ps(gate.output).to_bits(),
+                "gate {gi}"
+            );
+        }
         // Net slacks are bounded below by the worst endpoint slack, and
         // the worst path's driver attains it.
         let min = sens.slack_ps.iter().copied().fold(f64::INFINITY, f64::min);

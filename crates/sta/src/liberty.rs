@@ -501,8 +501,7 @@ pub const CHAR_CACHE_CAP_DEFAULT: usize = 4096;
 pub const CHAR_CACHE_CAP_ENV: &str = "POSTOPC_CHAR_CACHE_CAP";
 
 /// Resolves a positive cache cap from an environment variable, falling
-/// back to `default` when unset or unparsable (shared by the
-/// characterization and shift caches).
+/// back to `default` when unset or unparsable.
 pub(crate) fn env_cache_cap(var: &str, default: usize) -> usize {
     std::env::var(var)
         .ok()

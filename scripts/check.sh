@@ -34,11 +34,12 @@
 #   smoke      perf_smoke parity gates (ambient thread count)
 #   threads    perf_smoke parity gates under POSTOPC_THREADS=1,2,4
 #   faults     fault_smoke: seeded injection, quarantine determinism gates
-#   mc_batch   mc_batch_smoke: batched-engine parity, warm shared shift
-#              cache, variance-reduction convergence gates
+#   mc_batch   mc_batch_smoke: batched-engine vs naive-reference parity,
+#              warm shared shift table, antithetic convergence gate
 #   tail       tail_smoke under POSTOPC_THREADS=1,2,4: tail-IS + control
-#              variate engine/thread bit-parity, weight normalization,
-#              CV exactness on a linear model, and the deep-tail claim
+#              variate engine-vs-reference/thread bit-parity, weight
+#              normalization, CV exactness on a linear model, and the
+#              deep-tail claim
 #              (tail-IS@500 q01 error <= plain@2000 on the T6 study)
 #   serve      serve_smoke: cold-vs-warm artifact bit parity, typed bad-
 #              artifact errors, incremental-vs-full ECO bit parity, and
@@ -251,18 +252,19 @@ stage threads thread_matrix
 # across the thread matrix, and trip the budget past the cap.
 stage faults cargo run --release -p postopc-bench --bin fault_smoke
 
-# Batched Monte Carlo smoke: cross-engine bit-parity over sampling
-# schemes and lane remainders, warm shared-cache effectiveness, and the
-# variance-reduction convergence gate (antithetic/stratified @500 vs
-# plain @2000 on the mean worst slack).
+# Batched Monte Carlo smoke: bit-parity of the batched engine against the
+# naive run_reference oracle over plain/antithetic sampling and lane
+# remainders, warm shared-table effectiveness, and the variance-reduction
+# convergence gate (antithetic @500 vs plain @2000 on the mean worst
+# slack).
 stage mc_batch cargo run --release -p postopc-bench --bin mc_batch_smoke
 
 # Tail-targeted Monte Carlo smoke, across the same thread matrix as the
 # parity gates: importance sampling + control variate must stay
-# bit-identical for every engine and POSTOPC_THREADS in {1,2,4}, weights
-# must self-normalize, the control variate must be exact on a pure
-# linear model, and tail-IS@500 must estimate the 1%-quantile at least
-# as well as plain@2000 on the T6 convergence study.
+# bit-identical to the naive reference and across POSTOPC_THREADS in
+# {1,2,4}, weights must self-normalize, the control variate must be
+# exact on a pure linear model, and tail-IS@500 must estimate the
+# 1%-quantile at least as well as plain@2000 on the T6 convergence study.
 tail_matrix() {
   local t
   for t in 1 2 4; do
